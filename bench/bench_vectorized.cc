@@ -1,4 +1,5 @@
-// A10 — vectorized columnar execution: batch vs row engine A/B.
+// A10 — vectorized columnar execution: batch vs row A/B, in memory and
+// over pages.
 //
 // The same two A9 workloads (filtered scan + grouped aggregation, and
 // the headline join + aggregation) run at dop 1, 4 and 8 on both
@@ -6,21 +7,25 @@
 // and the original tuple-at-a-time morsel path — over identical
 // generated tables. Every run's result set is order-normalized and
 // compared against the serial reference before any timing is read, so
-// a wrong fast answer fails the bench, not the baseline.
+// a wrong fast answer fails the bench, not the baseline. The batch
+// engine then runs both plans again over the same tables loaded as
+// PagedRelations in a buffer pool that holds every page.
 //
-// Two assertions ride along:
+// Three assertions ride along (each a non-zero exit):
 //   * correctness — batch, row and serial results are the same set at
-//     every dop;
+//     every dop, in memory and paged;
+//   * one pin per page — a paged query costs exactly one buffer get per
+//     page it scans, build side and probe side, at every dop;
 //   * allocation-freedom — after one warm-up query has sized the
-//     per-worker arenas, a steady-state mem-scan aggregation query
-//     performs ZERO operator-new calls inside worker morsel bodies
-//     (counted by the thread-local alloc hook; enforced whenever the
-//     counting allocator is linked in).
+//     per-worker arenas, a steady-state aggregation query, over memory
+//     or over pages, performs ZERO operator-new calls inside worker
+//     morsel bodies (counted by the thread-local alloc hook; enforced
+//     whenever the counting allocator is linked in).
 //
 // Wall-clock ratios are honest-but-noisy host numbers (nogated in the
 // committed baseline); the deterministic gate is query.pexec.work_cycles
-// — identical across engines by construction (same shaped rows + build
-// rows), so bench_diff catches any accounting drift.
+// — identical across engines and inputs by construction (same shaped
+// rows + build rows), so bench_diff catches any accounting drift.
 
 #include <algorithm>
 #include <chrono>
@@ -35,6 +40,8 @@
 #include "obs/alloc_hook.h"
 #include "obs/metrics.h"
 #include "query/parallel.h"
+#include "storage/paged_relation.h"
+#include "storage/replacement.h"
 
 namespace {
 
@@ -117,24 +124,28 @@ bool RunOnce(const query::ParallelPlan& plan, query::WorkerPool* pool,
   return true;
 }
 
+/// The serial result of `plan` (dop=1 delegates to the serial
+/// executor), order-normalized; empty on error.
+std::multiset<std::string> SerialReference(const query::ParallelPlan& plan,
+                                           query::WorkerPool* pool) {
+  query::ParallelOptions opt;
+  opt.pool = pool;
+  std::vector<query::Tuple> out;
+  auto stats = query::ExecuteParallel(plan, &out, opt);
+  if (!stats.ok()) {
+    std::printf("  serial reference failed: %s\n",
+                stats.status().ToString().c_str());
+    return {};
+  }
+  return Canon(out);
+}
+
 /// A/B curve: both engines at each dop, identical result sets required.
 std::vector<EnginePoint> RunAB(const query::ParallelPlan& plan,
                                query::WorkerPool* pool,
                                const std::vector<size_t>& dops) {
-  // Serial reference (dop=1 delegates to the serial executor).
-  std::multiset<std::string> reference;
-  {
-    query::ParallelOptions opt;
-    opt.pool = pool;
-    std::vector<query::Tuple> out;
-    auto stats = query::ExecuteParallel(plan, &out, opt);
-    if (!stats.ok()) {
-      std::printf("  serial reference failed: %s\n",
-                  stats.status().ToString().c_str());
-      return {};
-    }
-    reference = Canon(out);
-  }
+  std::multiset<std::string> reference = SerialReference(plan, pool);
+  if (reference.empty()) return {};
   std::vector<EnginePoint> curve;
   for (size_t dop : dops) {
     EnginePoint p;
@@ -149,6 +160,55 @@ std::vector<EnginePoint> RunAB(const query::ParallelPlan& plan,
     curve.push_back(p);
   }
   return curve;
+}
+
+struct PagedPoint {
+  size_t dop = 0;
+  double ms = 0;
+  uint64_t gets = 0;  // buffer gets during the query
+};
+
+/// The batch engine over paged inputs at each dop: results must match
+/// `reference` and each query must cost exactly `pages` buffer gets —
+/// one pin per page scanned. Empty on any failure.
+std::vector<PagedPoint> RunPaged(const query::ParallelPlan& plan,
+                                 query::WorkerPool* pool,
+                                 const std::vector<size_t>& dops,
+                                 const std::multiset<std::string>& reference,
+                                 const storage::BufferManager& buffer,
+                                 size_t pages) {
+  std::vector<PagedPoint> curve;
+  for (size_t dop : dops) {
+    PagedPoint p;
+    p.dop = dop;
+    const uint64_t gets_before = buffer.stats().gets;
+    if (!RunOnce(plan, pool, dop, query::ParallelEngine::kBatch, reference,
+                 &p.ms, nullptr)) {
+      return {};
+    }
+    p.gets = buffer.stats().gets - gets_before;
+    if (p.gets != pages) {
+      std::printf("FAIL: paged dop=%zu query took %llu buffer gets for %zu "
+                  "pages (bar: one get per page scanned)\n",
+                  dop, static_cast<unsigned long long>(p.gets), pages);
+      return {};
+    }
+    curve.push_back(p);
+  }
+  return curve;
+}
+
+void PrintPaged(const char* title, const std::vector<PagedPoint>& curve,
+                size_t pages) {
+  std::printf("\n%s — %zu pages, resident pool\n", title, pages);
+  bench::Table table({8, 12, 14});
+  table.Row({"dop", "batch ms", "buffer gets"});
+  table.Rule();
+  for (const PagedPoint& p : curve) {
+    table.Row({bench::FmtU(p.dop), bench::Fmt("%.1f", p.ms),
+               bench::FmtU(p.gets)});
+  }
+  table.Rule();
 }
 
 void PrintCurve(const char* title, const std::vector<EnginePoint>& curve) {
@@ -206,10 +266,48 @@ int main(int argc, char** argv) {
   if (join_curve.empty()) return 1;
   PrintCurve("join + aggregate (400k ⋈ 2k)", join_curve);
 
-  // Allocation-freedom: the scan curve above warmed every worker's
-  // arenas (chunks are retained across queries), so a steady-state run
-  // of the same mem-scan aggregation must do zero operator-new calls
-  // inside worker morsel bodies.
+  // The same plans over pages: both tables loaded as PagedRelations in a
+  // pool that holds every page, so the run measures the scan path, not
+  // the disk.
+  auto disk = std::make_shared<storage::DiskComponent>();
+  auto policy = std::make_shared<storage::LruPolicy>();
+  auto buffer = std::make_shared<storage::BufferManager>("vec-pool", 4096);
+  buffer->FindPort("disk")->SetTarget(disk);
+  buffer->FindPort("policy")->SetTarget(policy);
+  auto paged_orders =
+      storage::PagedRelation::Load(orders, buffer.get(), disk.get());
+  auto paged_people =
+      storage::PagedRelation::Load(people, buffer.get(), disk.get());
+  if (!paged_orders.ok() || !paged_people.ok()) return 1;
+  const size_t orders_pages = (*paged_orders)->pages();
+  const size_t people_pages = (*paged_people)->pages();
+  if (orders_pages + people_pages > buffer->frame_count()) return 1;
+
+  query::ParallelPlan paged_scan_plan = scan_plan;
+  paged_scan_plan.probe.mem = nullptr;
+  paged_scan_plan.probe.paged = paged_orders->get();
+  std::vector<PagedPoint> paged_scan =
+      RunPaged(paged_scan_plan, &pool, dops,
+               SerialReference(scan_plan, &pool), *buffer, orders_pages);
+  if (paged_scan.empty()) return 1;
+  PrintPaged("paged scan + aggregate", paged_scan, orders_pages);
+
+  query::ParallelPlan paged_join_plan = join_plan;
+  paged_join_plan.probe.mem = nullptr;
+  paged_join_plan.probe.paged = paged_orders->get();
+  paged_join_plan.joins[0].build.mem = nullptr;
+  paged_join_plan.joins[0].build.paged = paged_people->get();
+  std::vector<PagedPoint> paged_join = RunPaged(
+      paged_join_plan, &pool, dops, SerialReference(join_plan, &pool),
+      *buffer, orders_pages + people_pages);
+  if (paged_join.empty()) return 1;
+  PrintPaged("paged join + aggregate", paged_join,
+             orders_pages + people_pages);
+
+  // Allocation-freedom: the curves above warmed every worker's arenas
+  // (chunks are retained across queries), so a steady-state run of the
+  // same aggregation must do zero operator-new calls inside worker
+  // morsel bodies — over memory and over pages alike.
   query::ParallelOptions warm;
   warm.dop = 4;
   warm.pool = &pool;
@@ -217,10 +315,16 @@ int main(int argc, char** argv) {
   auto warm_stats = query::ExecuteParallel(scan_plan, &out, warm);
   if (!warm_stats.ok()) return 1;
   uint64_t steady = warm_stats->steady_allocs;
+  out.clear();
+  auto paged_warm_stats =
+      query::ExecuteParallel(paged_scan_plan, &out, warm);
+  if (!paged_warm_stats.ok()) return 1;
+  uint64_t paged_steady = paged_warm_stats->steady_allocs;
   bool counting = obs::AllocCountingInstalled();
   if (counting) {
-    bench::Note(bench::Fmt("steady-state morsel-body allocations: %.0f",
-                           static_cast<double>(steady)) +
+    bench::Note("steady-state morsel-body allocations: mem " +
+                std::to_string(steady) + ", paged " +
+                std::to_string(paged_steady) +
                 " (bar: 0 — arenas retained, hot path allocation-free)");
   } else {
     bench::Note("counting allocator not linked; zero-alloc bar reported, "
@@ -244,7 +348,25 @@ int main(int argc, char** argv) {
     reg.GetGauge("bench.vec.join_ratio_dop" + std::to_string(p.dop))
         .Set(p.ratio);
   }
+  for (const PagedPoint& p : paged_scan) {
+    reg.GetGauge("bench.vec.paged_scan_ms_dop" + std::to_string(p.dop))
+        .Set(p.ms);
+    reg.GetGauge("bench.vec.paged_scan_gets_dop" + std::to_string(p.dop))
+        .Set(static_cast<double>(p.gets));
+  }
+  for (const PagedPoint& p : paged_join) {
+    reg.GetGauge("bench.vec.paged_join_ms_dop" + std::to_string(p.dop))
+        .Set(p.ms);
+    reg.GetGauge("bench.vec.paged_join_gets_dop" + std::to_string(p.dop))
+        .Set(static_cast<double>(p.gets));
+  }
+  reg.GetGauge("bench.vec.paged_scan_pages")
+      .Set(static_cast<double>(orders_pages));
+  reg.GetGauge("bench.vec.paged_join_pages")
+      .Set(static_cast<double>(orders_pages + people_pages));
   reg.GetGauge("bench.vec.steady_allocs").Set(static_cast<double>(steady));
+  reg.GetGauge("bench.vec.paged_steady_allocs")
+      .Set(static_cast<double>(paged_steady));
 
   double join_ratio8 = 1.0;
   for (const EnginePoint& p : join_curve) {
@@ -258,10 +380,11 @@ int main(int argc, char** argv) {
 
   bench::MetricsSidecar("bench_vectorized");
 
-  if (counting && steady != 0) {
-    std::printf("FAIL: steady-state batch path performed %llu operator-new "
-                "calls (bar: 0)\n",
-                static_cast<unsigned long long>(steady));
+  if (counting && (steady != 0 || paged_steady != 0)) {
+    std::printf("FAIL: steady-state batch path performed %llu (mem) and "
+                "%llu (paged) operator-new calls (bar: 0)\n",
+                static_cast<unsigned long long>(steady),
+                static_cast<unsigned long long>(paged_steady));
     return 1;
   }
   return 0;

@@ -292,60 +292,73 @@ void LoadMemBatch(const data::ColumnarView& view, size_t begin, size_t end,
   out->cols = cols;
 }
 
-Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
-                      size_t page_end, Arena* scratch, ColumnBatch* out,
-                      uint64_t* raw_rows) {
-  size_t ncols = rel.schema().size();
-  struct ColBuild {
+namespace {
+
+/// Decodes paged records straight into arena columns. Every typed array
+/// stays row-aligned: a field pushes its live value into its tag's array
+/// and zero placeholders into the others.
+struct ColumnSink {
+  struct Col {
     ArenaVec<uint8_t> tags;
     ArenaVec<int64_t> ints;
     ArenaVec<double> doubles;
     ArenaVec<std::string_view> strings;
   };
-  ColBuild* build = scratch->AllocateArray<ColBuild>(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    build[c].tags.Init(scratch);
-    build[c].ints.Init(scratch);
-    build[c].doubles.Init(scratch);
-    build[c].strings.Init(scratch);
-  }
+  Col* cols;
+  Arena* scratch;
   size_t rows = 0;
+
+  void Push(size_t c, ValueType t, int64_t i, double d,
+            std::string_view s) {
+    cols[c].tags.PushBack(static_cast<uint8_t>(t));
+    cols[c].ints.PushBack(i);
+    cols[c].doubles.PushBack(d);
+    cols[c].strings.PushBack(s);
+  }
+  void Null(size_t c) { Push(c, ValueType::kNull, 0, 0.0, {}); }
+  void Int(size_t c, int64_t v) { Push(c, ValueType::kInt, v, 0.0, {}); }
+  void Double(size_t c, double v) {
+    Push(c, ValueType::kDouble, 0, v, {});
+  }
+  // The view points into the pinned page, which is unpinned once the
+  // page is decoded: the bytes move to scratch so the batch can keep
+  // referring to them.
+  void String(size_t c, std::string_view v) {
+    Push(c, ValueType::kString, 0, 0.0, scratch->CopyString(v));
+  }
+  Status EndRow() {
+    ++rows;
+    return Status::OK();
+  }
+};
+
+}  // namespace
+
+Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
+                      size_t page_end, Arena* scratch, ColumnBatch* out,
+                      uint64_t* raw_rows) {
+  size_t ncols = rel.schema().size();
+  ColumnSink sink{scratch->AllocateArray<ColumnSink::Col>(ncols), scratch};
+  for (size_t c = 0; c < ncols; ++c) {
+    sink.cols[c].tags.Init(scratch);
+    sink.cols[c].ints.Init(scratch);
+    sink.cols[c].doubles.Init(scratch);
+    sink.cols[c].strings.Init(scratch);
+  }
   for (size_t page = page_begin; page < page_end; ++page) {
-    for (uint16_t slot = 0;; ++slot) {
-      DBM_ASSIGN_OR_RETURN(std::optional<data::Tuple> tuple,
-                           rel.ReadAt(page, slot));
-      if (!tuple.has_value()) break;
-      for (size_t c = 0; c < ncols; ++c) {
-        // Every typed array stays row-aligned: a row pushes a live value
-        // into its tag's array and zero placeholders into the others.
-        const Value& val = tuple->at(c);
-        ValueType t = data::TypeOf(val);
-        build[c].tags.PushBack(static_cast<uint8_t>(t));
-        build[c].ints.PushBack(t == ValueType::kInt ? std::get<int64_t>(val)
-                                                    : 0);
-        build[c].doubles.PushBack(
-            t == ValueType::kDouble ? std::get<double>(val) : 0.0);
-        // Decoded tuples die with this morsel; string payloads move to
-        // the scratch arena so the batch can keep referring to them.
-        build[c].strings.PushBack(
-            t == ValueType::kString
-                ? scratch->CopyString(std::get<std::string>(val))
-                : std::string_view());
-      }
-      ++rows;
-    }
+    DBM_RETURN_NOT_OK(rel.VisitPage(page, sink));
   }
   Column* cols = scratch->AllocateArray<Column>(ncols);
   for (size_t c = 0; c < ncols; ++c) {
-    cols[c].tags = build[c].tags.data();
-    cols[c].ints = build[c].ints.data();
-    cols[c].doubles = build[c].doubles.data();
-    cols[c].strings = build[c].strings.data();
+    cols[c].tags = sink.cols[c].tags.data();
+    cols[c].ints = sink.cols[c].ints.data();
+    cols[c].doubles = sink.cols[c].doubles.data();
+    cols[c].strings = sink.cols[c].strings.data();
   }
-  out->rows = rows;
+  out->rows = sink.rows;
   out->ncols = ncols;
   out->cols = cols;
-  if (raw_rows != nullptr) *raw_rows += rows;
+  if (raw_rows != nullptr) *raw_rows += sink.rows;
   return Status::OK();
 }
 

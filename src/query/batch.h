@@ -10,7 +10,8 @@
 //   ColumnBatch   ~1024 rows of a morsel as typed contiguous columns
 //                 (int64 / double / string-ref) plus per-row type tags,
 //                 borrowed zero-copy from Relation::Columnar() for mem
-//                 scans, decoded into arena scratch for paged scans.
+//                 scans, decoded page-at-a-time into arena scratch for
+//                 paged scans.
 //   selection     filters produce a selection vector (indices of passing
 //                 rows) instead of moving any data.
 //   kernels       EvalBatch / TestBatch / FilterBatch run an Expr over a
@@ -192,10 +193,11 @@ void HashColumn(const BatchView& v, size_t col, const uint32_t* sel,
 void LoadMemBatch(const data::ColumnarView& view, size_t begin, size_t end,
                   Arena* scratch, ColumnBatch* out);
 
-/// Loads a paged-scan morsel (pages [page_begin, page_end)) by decoding
-/// records into `scratch` columns. Decoding materialises tuples, so this
-/// path allocates (documented in PERFORMANCE.md); the zero-alloc
-/// guarantee is for mem scans. `raw_rows` counts decoded rows.
+/// Loads a paged-scan morsel (pages [page_begin, page_end)) with one
+/// PagedRelation::VisitPage — one pin — per page, decoding each record's
+/// fields straight into `scratch` columns; no Tuple is built and string
+/// bytes are copied into `scratch`. Allocation-free once the arena is
+/// warm, like mem scans. `raw_rows` counts decoded rows.
 Status LoadPagedBatch(const storage::PagedRelation& rel, size_t page_begin,
                       size_t page_end, Arena* scratch, ColumnBatch* out,
                       uint64_t* raw_rows);

@@ -1,6 +1,7 @@
 // A scan operator over a PagedRelation: query pulls flow through the
 // getpage component, so buffer hits/misses/evictions are real for every
-// query touching paged data.
+// query touching paged data. Each refill decodes one whole page under a
+// single pin into a reused tuple buffer; no pin is held across Next().
 
 #ifndef DBM_QUERY_PAGED_SOURCE_H_
 #define DBM_QUERY_PAGED_SOURCE_H_
@@ -20,29 +21,25 @@ class PagedSource : public Operator {
   }
   Status Open() override {
     page_ = 0;
-    slot_ = 0;
+    rows_.clear();
+    next_ = 0;
     return Status::OK();
   }
   Result<Step> Next(SimTime now) override {
-    while (page_ < rel_->pages()) {
-      DBM_ASSIGN_OR_RETURN(std::optional<Tuple> tuple,
-                           rel_->ReadAt(page_, slot_));
-      if (!tuple.has_value()) {
-        ++page_;
-        slot_ = 0;
-        continue;
-      }
-      ++slot_;
-      return Emit(std::move(*tuple), now);
+    while (next_ == rows_.size()) {
+      if (page_ >= rel_->pages()) return Step::End();
+      DBM_RETURN_NOT_OK(rel_->ReadPage(page_++, &rows_));
+      next_ = 0;
     }
-    return Step::End();
+    return Emit(std::move(rows_[next_++]), now);
   }
   Status Close() override { return Status::OK(); }
 
  private:
   const storage::PagedRelation* rel_;
-  size_t page_ = 0;
-  uint16_t slot_ = 0;
+  size_t page_ = 0;           // next page to decode
+  std::vector<Tuple> rows_;   // the decoded page
+  size_t next_ = 0;           // next row of rows_ to emit
 };
 
 }  // namespace dbm::query

@@ -105,17 +105,17 @@ template <typename Fn>
 Status ScanMorsel(const ParallelScan& scan, const Morsel& morsel, Fn&& fn,
                   uint64_t* raw = nullptr) {
   if (scan.paged != nullptr) {
+    // One pin per page: decode the page, unpin, then run the rows.
+    std::vector<Tuple> rows;
     for (size_t page = morsel.begin; page < morsel.end; ++page) {
-      for (uint16_t slot = 0;; ++slot) {
-        DBM_ASSIGN_OR_RETURN(std::optional<Tuple> tuple,
-                             scan.paged->ReadAt(page, slot));
-        if (!tuple.has_value()) break;
-        if (raw != nullptr) ++*raw;
+      DBM_RETURN_NOT_OK(scan.paged->ReadPage(page, &rows));
+      if (raw != nullptr) *raw += rows.size();
+      for (Tuple& tuple : rows) {
         if (scan.filter != nullptr) {
-          DBM_ASSIGN_OR_RETURN(bool pass, scan.filter->Test(*tuple));
+          DBM_ASSIGN_OR_RETURN(bool pass, scan.filter->Test(tuple));
           if (!pass) continue;
         }
-        DBM_RETURN_NOT_OK(fn(std::move(*tuple)));
+        DBM_RETURN_NOT_OK(fn(std::move(tuple)));
       }
     }
     return Status::OK();
@@ -757,7 +757,7 @@ Result<ParallelStats> ExecuteParallel(const ParallelPlan& plan,
   // `segs[k][pos]` to the stage-k build row's cells. Everything transient
   // comes from the worker's scratch arena (reset here, chunks retained),
   // so the steady-state body performs zero operator-new calls on mem
-  // scans — measured per-thread into sink.steady_allocs.
+  // and paged scans — measured per-thread into sink.steady_allocs.
   auto process_batch = [&](size_t wid, const Morsel& morsel) -> Status {
     WorkerSink& sink = sinks[wid];
     Arena& scratch = pool.ScratchArena(wid);

@@ -17,6 +17,18 @@ void PutU64(std::vector<uint8_t>* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xFF);
 }
 
+/// Appends decoded fields to a value vector (the Tuple decoders).
+struct ValueSink {
+  std::vector<Value>* values;
+
+  void Null(size_t) { values->emplace_back(); }
+  void Int(size_t, int64_t v) { values->emplace_back(v); }
+  void Double(size_t, double v) { values->emplace_back(v); }
+  void String(size_t, std::string_view s) {
+    values->emplace_back(std::string(s));
+  }
+};
+
 }  // namespace
 
 std::vector<uint8_t> EncodeTuple(const Tuple& tuple) {
@@ -49,54 +61,9 @@ std::vector<uint8_t> EncodeTuple(const Tuple& tuple) {
 
 Result<Tuple> DecodeTuple(const std::vector<uint8_t>& bytes, size_t arity) {
   Tuple tuple;
-  size_t pos = 0;
-  auto u32 = [&]() -> Result<uint32_t> {
-    if (pos + 4 > bytes.size()) return Status::IoError("truncated u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes[pos++]) << (8 * i);
-    return v;
-  };
-  auto u64 = [&]() -> Result<uint64_t> {
-    if (pos + 8 > bytes.size()) return Status::IoError("truncated u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes[pos++]) << (8 * i);
-    return v;
-  };
-  for (size_t c = 0; c < arity; ++c) {
-    if (pos >= bytes.size()) return Status::IoError("truncated tuple");
-    auto type = static_cast<ValueType>(bytes[pos++]);
-    switch (type) {
-      case ValueType::kNull:
-        tuple.values.emplace_back();
-        break;
-      case ValueType::kInt: {
-        DBM_ASSIGN_OR_RETURN(uint64_t bits, u64());
-        tuple.values.emplace_back(static_cast<int64_t>(bits));
-        break;
-      }
-      case ValueType::kDouble: {
-        DBM_ASSIGN_OR_RETURN(uint64_t bits, u64());
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        tuple.values.emplace_back(d);
-        break;
-      }
-      case ValueType::kString: {
-        DBM_ASSIGN_OR_RETURN(uint32_t len, u32());
-        if (pos + len > bytes.size()) {
-          return Status::IoError("truncated string value");
-        }
-        tuple.values.emplace_back(
-            std::string(bytes.begin() + static_cast<long>(pos),
-                        bytes.begin() + static_cast<long>(pos + len)));
-        pos += len;
-        break;
-      }
-    }
-  }
-  if (pos != bytes.size()) {
-    return Status::IoError("trailing bytes after tuple");
-  }
+  tuple.values.reserve(arity);
+  ValueSink sink{&tuple.values};
+  DBM_RETURN_NOT_OK(DecodeFields(bytes.data(), bytes.size(), arity, sink));
   return tuple;
 }
 
@@ -127,19 +94,37 @@ Status PagedRelation::Append(const Tuple& tuple) {
   return Status::OK();
 }
 
+Status PagedRelation::ReadPage(size_t page_ordinal,
+                               std::vector<Tuple>* rows) const {
+  // Fields land in `row`; each finished record moves into `rows`.
+  struct RowSink : ValueSink {
+    std::vector<Tuple>* rows;
+    size_t arity;
+
+    Status EndRow() {
+      rows->emplace_back(std::move(*values));
+      values->clear();
+      values->reserve(arity);
+      return Status::OK();
+    }
+  };
+  rows->clear();
+  std::vector<Value> row;
+  row.reserve(schema_.size());
+  RowSink sink{{&row}, rows, schema_.size()};
+  return VisitPage(page_ordinal, sink);
+}
+
 Status PagedRelation::Scan(
     const std::function<bool(const Tuple&)>& visitor) const {
-  Status decode_error;
-  DBM_RETURN_NOT_OK(file_->Scan(
-      [&](const RecordId&, const std::vector<uint8_t>& rec) {
-        auto tuple = DecodeTuple(rec, schema_.size());
-        if (!tuple.ok()) {
-          decode_error = tuple.status();
-          return false;
-        }
-        return visitor(*tuple);
-      }));
-  return decode_error;
+  std::vector<Tuple> rows;
+  for (size_t page = 0; page < pages(); ++page) {
+    DBM_RETURN_NOT_OK(ReadPage(page, &rows));
+    for (const Tuple& tuple : rows) {
+      if (!visitor(tuple)) return Status::OK();
+    }
+  }
+  return Status::OK();
 }
 
 Result<std::optional<data::Tuple>> PagedRelation::ReadAt(

@@ -6,16 +6,10 @@ namespace dbm::storage {
 
 namespace {
 
-uint16_t GetU16(const Page& page, size_t off) {
-  return static_cast<uint16_t>(page.bytes[off] |
-                               (page.bytes[off + 1] << 8));
-}
 void PutU16(Page* page, size_t off, uint16_t v) {
   page->bytes[off] = static_cast<uint8_t>(v & 0xFF);
   page->bytes[off + 1] = static_cast<uint8_t>(v >> 8);
 }
-
-constexpr size_t kHeader = 4;  // count + free offset
 
 }  // namespace
 
@@ -112,22 +106,18 @@ Result<std::vector<uint8_t>> RecordFile::Read(const RecordId& id) {
 }
 
 Status RecordFile::Scan(
-    const std::function<bool(const RecordId&, const std::vector<uint8_t>&)>&
+    const std::function<bool(const RecordId&, std::span<const uint8_t>)>&
         visitor) {
   for (PageId pid : pages_) {
-    DBM_ASSIGN_OR_RETURN(Page * page, buffer_->GetPage(pid));
-    uint16_t count = GetU16(*page, 0);
-    size_t off = kHeader;
+    uint16_t slot = 0;
     bool stop = false;
-    for (uint16_t s = 0; s < count && !stop; ++s) {
-      uint16_t len = GetU16(*page, off);
-      std::vector<uint8_t> rec(
-          page->bytes.begin() + static_cast<long>(off + 2),
-          page->bytes.begin() + static_cast<long>(off + 2 + len));
-      stop = !visitor(RecordId{pid, s}, rec);
-      off += 2 + len;
-    }
-    DBM_RETURN_NOT_OK(buffer_->Unpin(pid, false));
+    // After a stop the rest of the page is walked without visiting: the
+    // page stays pinned for one pass either way.
+    DBM_RETURN_NOT_OK(VisitPage(pid, [&](const uint8_t* rec, size_t len) {
+      if (!stop) stop = !visitor(RecordId{pid, slot}, {rec, len});
+      ++slot;
+      return Status::OK();
+    }));
     if (stop) break;
   }
   return Status::OK();

@@ -1,8 +1,10 @@
 // Tests for the vectorized columnar batch layer (query/batch.h): cell
 // primitives vs their Value counterparts, kernel-vs-row-operator
 // equivalence across seeds and selectivities, selection-vector edge
-// cases, arena reuse, and whole-plan batch-vs-row engine A/B at
-// dop 1/2/4/8.
+// cases, arena reuse, whole-plan batch-vs-row engine A/B at
+// dop 1/2/4/8, and the page-at-a-time paged scan: column decode parity
+// with DecodeTuple, identical decode errors on every path, one buffer get
+// per page scanned, no pin left behind.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,9 @@
 #include "common/rng.h"
 #include "data/value.h"
 #include "fault/injector.h"
+#include "obs/metrics.h"
 #include "query/batch.h"
+#include "query/paged_source.h"
 #include "query/parallel.h"
 #include "storage/paged_relation.h"
 #include "storage/replacement.h"
@@ -615,6 +619,336 @@ TEST(BatchEngineTest, ErrorsPropagateFromBatchKernels) {
   auto stats = ExecuteParallel(plan, &out, opt);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().message(), "division by zero");
+}
+
+// ---------------------------------------------------------------------------
+// Paged scans: one pin per page, decoded straight into columns
+// ---------------------------------------------------------------------------
+
+/// A buffer pool over an in-memory disk, big enough to keep every page
+/// of these tests resident.
+struct PagedRig {
+  std::shared_ptr<storage::DiskComponent> disk =
+      std::make_shared<storage::DiskComponent>();
+  std::shared_ptr<storage::LruPolicy> policy =
+      std::make_shared<storage::LruPolicy>();
+  std::shared_ptr<storage::BufferManager> buffer;
+
+  explicit PagedRig(size_t frames = 256, size_t shards = 1) {
+    buffer = std::make_shared<storage::BufferManager>("buf", frames, shards);
+    buffer->FindPort("disk")->SetTarget(disk);
+    buffer->FindPort("policy")->SetTarget(policy);
+  }
+
+  /// Writes `records` verbatim — no schema check, so columns may mix
+  /// types and records may be malformed — and attaches a PagedRelation
+  /// with `schema` over them.
+  std::unique_ptr<storage::PagedRelation> Raw(
+      const Schema& schema,
+      const std::vector<std::vector<uint8_t>>& records) {
+    storage::RecordFile file(buffer.get(), disk.get());
+    for (const auto& rec : records) EXPECT_TRUE(file.Append(rec).ok());
+    auto rel = storage::PagedRelation::Recover("raw", schema, buffer.get(),
+                                               disk.get());
+    EXPECT_TRUE(rel.ok()) << rel.status().ToString();
+    return rel.ok() ? std::move(*rel) : nullptr;
+  }
+
+  int Pins() const {
+    int pins = 0;
+    for (storage::PageId p = 0; p < disk->page_count(); ++p) {
+      pins += buffer->PinCount(p);
+    }
+    return pins;
+  }
+
+  void ExpectQuiescent(const std::string& where) const {
+    EXPECT_EQ(Pins(), 0) << where;
+    Status inv = buffer->CheckInvariants();
+    EXPECT_TRUE(inv.ok()) << where << ": " << inv.ToString();
+  }
+};
+
+const Schema& RawSchema() {
+  static const Schema schema({{"a", ValueType::kInt},
+                              {"b", ValueType::kString},
+                              {"c", ValueType::kDouble}});
+  return schema;
+}
+
+/// Records the schema check would reject but the codec carries: nulls
+/// everywhere, empty strings, strings up to the largest record a page
+/// holds, and every type in every column.
+std::vector<std::vector<uint8_t>> EdgeRecords(uint64_t seed) {
+  std::vector<Tuple> rows;
+  rows.push_back(Tuple({Value{}, Value{}, Value{}}));
+  rows.push_back(Tuple({int64_t{-1}, std::string(), 0.5}));
+  rows.push_back(Tuple({std::string("int column"), 2.75, int64_t{7}}));
+  rows.push_back(Tuple({1.5, int64_t{INT64_MIN}, std::string()}));
+  // One value row of exactly kMaxRecord bytes (tag + u32 + payload, two
+  // one-byte nulls), and one just under it.
+  const size_t max_payload = storage::RecordFile::kMaxRecord - 7;
+  rows.push_back(Tuple({Value{}, std::string(max_payload, 'x'), Value{}}));
+  rows.push_back(
+      Tuple({Value{}, std::string(max_payload - 9, 'y'), int64_t{3}}));
+  Rng rng(seed);
+  for (size_t i = 0; i < 700; ++i) {
+    Tuple t;
+    for (size_t c = 0; c < 3; ++c) {
+      switch (rng.Uniform(5)) {
+        case 0:
+          t.values.emplace_back();
+          break;
+        case 1:
+          t.values.emplace_back(static_cast<int64_t>(rng.Uniform(1000)) -
+                                500);
+          break;
+        case 2:
+          t.values.emplace_back(0.25 * static_cast<double>(rng.Uniform(99)));
+          break;
+        default:
+          t.values.emplace_back(
+              std::string(rng.Uniform(10) == 0 ? 900 : rng.Uniform(24),
+                          static_cast<char>('a' + rng.Uniform(26))));
+      }
+    }
+    rows.push_back(std::move(t));
+  }
+  std::vector<std::vector<uint8_t>> records;
+  for (const Tuple& t : rows) records.push_back(storage::EncodeTuple(t));
+  return records;
+}
+
+TEST(PagedDecodeTest, ColumnDecodeMatchesDecodeTupleCellForCell) {
+  for (uint64_t seed : kSeeds) {
+    PagedRig rig;
+    std::vector<std::vector<uint8_t>> records = EdgeRecords(seed);
+    auto rel = rig.Raw(RawSchema(), records);
+    ASSERT_NE(rel, nullptr);
+    ASSERT_EQ(rel->rows(), records.size());
+    ASSERT_GT(rel->pages(), 4u);
+    std::vector<Tuple> expect;
+    for (const auto& rec : records) {
+      auto t = storage::DecodeTuple(rec, 3);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      expect.push_back(std::move(*t));
+    }
+
+    // Batch path: every page one morsel, and the whole file as one.
+    auto check_batch = [&](size_t begin, size_t end, size_t first_row,
+                           size_t* rows) {
+      Arena scratch;
+      ColumnBatch batch;
+      uint64_t raw = 0;
+      ASSERT_TRUE(
+          LoadPagedBatch(*rel, begin, end, &scratch, &batch, &raw).ok());
+      EXPECT_EQ(raw, batch.rows);
+      ASSERT_EQ(batch.ncols, 3u);
+      ASSERT_LE(first_row + batch.rows, expect.size());
+      for (size_t r = 0; r < batch.rows; ++r) {
+        for (size_t c = 0; c < 3; ++c) {
+          EXPECT_EQ(CellToValue(CellOf(batch.cols[c], r)),
+                    expect[first_row + r].values[c])
+              << "seed " << seed << " row " << first_row + r << " col "
+              << c;
+        }
+      }
+      *rows = batch.rows;
+    };
+    size_t row = 0;
+    for (size_t p = 0; p < rel->pages(); ++p) {
+      size_t rows = 0;
+      check_batch(p, p + 1, row, &rows);
+      row += rows;
+    }
+    EXPECT_EQ(row, expect.size());
+    size_t all = 0;
+    check_batch(0, rel->pages(), 0, &all);
+    EXPECT_EQ(all, expect.size());
+
+    // Row path (ReadPage / Scan) and the serial PagedSource.
+    std::vector<Tuple> scanned;
+    ASSERT_TRUE(rel->Scan([&](const Tuple& t) {
+                     scanned.push_back(t);
+                     return true;
+                   })
+                    .ok());
+    EXPECT_EQ(scanned.size(), expect.size());
+    for (size_t i = 0; i < std::min(scanned.size(), expect.size()); ++i) {
+      EXPECT_TRUE(scanned[i] == expect[i]) << "seed " << seed << " row " << i;
+    }
+    PagedSource source(rel.get());
+    std::vector<Tuple> pulled;
+    ASSERT_TRUE(Execute(&source, &pulled, {}).ok());
+    ASSERT_EQ(pulled.size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_TRUE(pulled[i] == expect[i]) << "seed " << seed << " row " << i;
+    }
+    rig.ExpectQuiescent("after decode parity, seed " + std::to_string(seed));
+  }
+}
+
+TEST(PagedDecodeTest, MalformedRecordsFailAlikeOnEveryPath) {
+  ScopedFaultSpec quiet("");
+  std::vector<uint8_t> good =
+      storage::EncodeTuple(Tuple({int64_t{4}, std::string("ok"), 1.0}));
+  std::vector<uint8_t> int_tag = {static_cast<uint8_t>(ValueType::kInt)};
+  std::vector<uint8_t> str_tag = {static_cast<uint8_t>(ValueType::kString)};
+  std::vector<uint8_t> null_tag = {static_cast<uint8_t>(ValueType::kNull)};
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> bad;
+  };
+  std::vector<Case> cases = {
+      {"truncated tuple", {null_tag[0], null_tag[0]}},
+      {"truncated u64", {int_tag[0], 1, 2, 3}},
+      {"truncated u32", {null_tag[0], str_tag[0], 9, 0}},
+      {"truncated string", {null_tag[0], str_tag[0], 10, 0, 0, 0, 'a'}},
+      {"trailing bytes", good},
+      {"unknown tag", {7, 7, 7}},
+  };
+  cases[4].bad.push_back(0);
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Status want = storage::DecodeTuple(c.bad, 3).status();
+    ASSERT_FALSE(want.ok());
+    PagedRig rig;
+    // The bad record sits mid-page, between good ones, on the first of
+    // several pages.
+    std::vector<std::vector<uint8_t>> records(20, good);
+    records.push_back(c.bad);
+    records.insert(records.end(), 400, good);
+    auto rel = rig.Raw(RawSchema(), records);
+    ASSERT_NE(rel, nullptr);
+    ASSERT_GT(rel->pages(), 2u);
+
+    auto expect_same = [&](const Status& got, const std::string& path) {
+      EXPECT_EQ(got.code(), want.code()) << path << ": " << got.ToString();
+      EXPECT_EQ(got.message(), want.message()) << path;
+      rig.ExpectQuiescent(path);
+    };
+
+    Arena scratch;
+    ColumnBatch batch;
+    expect_same(
+        LoadPagedBatch(*rel, 0, rel->pages(), &scratch, &batch, nullptr),
+        "LoadPagedBatch");
+    std::vector<Tuple> rows;
+    expect_same(rel->ReadPage(0, &rows), "ReadPage");
+    expect_same(rel->Scan([](const Tuple&) { return true; }), "Scan");
+
+    ParallelPlan plan;
+    plan.probe.paged = rel.get();
+    plan.group_by = {0};
+    plan.aggs = {{AggFunc::kCount, 0, "n"}};
+    WorkerPool pool(2);
+    for (size_t dop : {1u, 2u}) {
+      for (ParallelEngine engine :
+           {ParallelEngine::kBatch, ParallelEngine::kRow}) {
+        ParallelOptions opt;
+        opt.dop = dop;
+        opt.pool = &pool;
+        opt.engine = engine;
+        opt.morsel_pages = 1;
+        std::vector<Tuple> out;
+        auto stats = ExecuteParallel(plan, &out, opt);
+        ASSERT_FALSE(stats.ok());
+        expect_same(stats.status(),
+                    "dop " + std::to_string(dop) +
+                        (engine == ParallelEngine::kBatch ? " batch"
+                                                          : " row"));
+      }
+    }
+  }
+}
+
+TEST(PagedDecodeTest, BufferGetsEqualPagesScannedAtEveryDop) {
+  ScopedFaultSpec quiet("");
+  PagedRig rig(/*frames=*/512, /*shards=*/4);
+  Relation probe_rel = MakeMixed(6000, 17);
+  Relation build_rel = MakeMixed(400, 42);
+  auto probe = storage::PagedRelation::Load(probe_rel, rig.buffer.get(),
+                                            rig.disk.get());
+  auto build = storage::PagedRelation::Load(build_rel, rig.buffer.get(),
+                                            rig.disk.get());
+  ASSERT_TRUE(probe.ok() && build.ok());
+  const size_t probe_pages = (*probe)->pages();
+  const size_t build_pages = (*build)->pages();
+  ASSERT_GT(probe_pages, 8u);
+  ASSERT_GT(build_pages, 1u);
+  ASSERT_LE(probe_pages + build_pages, 512u);  // resident: no evictions
+
+  ParallelPlan scan_plan;
+  scan_plan.probe.paged = probe->get();
+  scan_plan.probe.filter = Lt(Col(0), Lit(Value{int64_t{70}}));
+  scan_plan.group_by = {3};
+  scan_plan.aggs = {{AggFunc::kCount, 0, "n"}, {AggFunc::kSum, 1, "s"}};
+
+  ParallelPlan join_plan;
+  join_plan.probe.paged = probe->get();
+  ParallelJoinStage stage;
+  stage.build.paged = build->get();
+  stage.spec = JoinSpec{0, 0};
+  join_plan.joins.push_back(std::move(stage));
+  join_plan.group_by = {3};
+  join_plan.aggs = {{AggFunc::kCount, 0, "n"}};
+
+  // The same plans over the in-memory tables: paged and mem runs must
+  // account the same work.
+  ParallelPlan mem_scan_plan = scan_plan;
+  mem_scan_plan.probe.paged = nullptr;
+  mem_scan_plan.probe.mem = &probe_rel;
+  ParallelPlan mem_join_plan = join_plan;
+  mem_join_plan.probe.paged = nullptr;
+  mem_join_plan.probe.mem = &probe_rel;
+  mem_join_plan.joins[0].build.paged = nullptr;
+  mem_join_plan.joins[0].build.mem = &build_rel;
+
+  obs::Counter& work = obs::Registry::Default().GetCounter(
+      "query.pexec.work_cycles");
+  WorkerPool pool(4);
+  struct Point {
+    const ParallelPlan* plan;
+    const ParallelPlan* mem_plan;
+    size_t pages;
+    const char* name;
+  };
+  for (const Point& point :
+       {Point{&scan_plan, &mem_scan_plan, probe_pages, "scan+agg"},
+        Point{&join_plan, &mem_join_plan, probe_pages + build_pages,
+              "join+agg"}}) {
+    for (size_t dop : {1u, 2u, 4u}) {
+      for (ParallelEngine engine :
+           {ParallelEngine::kBatch, ParallelEngine::kRow}) {
+        std::string where =
+            std::string(point.name) + " dop " + std::to_string(dop) +
+            (engine == ParallelEngine::kBatch ? " batch" : " row");
+        ParallelOptions opt;
+        opt.dop = dop;
+        opt.pool = &pool;
+        opt.engine = engine;
+        opt.morsel_pages = 3;
+        std::vector<Tuple> out;
+        const uint64_t gets_before = rig.buffer->stats().gets;
+        const uint64_t work_before = work.value();
+        auto stats = ExecuteParallel(*point.plan, &out, opt);
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        EXPECT_EQ(rig.buffer->stats().gets - gets_before, point.pages)
+            << where;
+        EXPECT_FALSE(out.empty());
+        rig.ExpectQuiescent(where);
+
+        const uint64_t paged_work = work.value() - work_before;
+        std::vector<Tuple> mem_out;
+        ASSERT_TRUE(ExecuteParallel(*point.mem_plan, &mem_out, opt).ok());
+        EXPECT_EQ(work.value() - work_before - paged_work, paged_work)
+            << where;
+        EXPECT_EQ(Canon(out), Canon(mem_out)) << where;
+      }
+    }
+  }
+  EXPECT_EQ(rig.buffer->stats().evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -303,9 +303,10 @@ TEST_P(RecordFileFuzz, MatchesShadowUnderRandomWorkload) {
   // Full scan visits exactly the shadow, in append order.
   size_t i = 0;
   ASSERT_TRUE(file.Scan([&](const storage::RecordId& id,
-                            const std::vector<uint8_t>& rec) {
+                            std::span<const uint8_t> rec) {
                     EXPECT_TRUE(id == shadow[i].first);
-                    EXPECT_EQ(rec, shadow[i].second);
+                    EXPECT_EQ(std::vector<uint8_t>(rec.begin(), rec.end()),
+                              shadow[i].second);
                     ++i;
                     return true;
                   })

@@ -33,6 +33,15 @@ TEST(TupleCodecTest, RoundTripAllTypes) {
   EXPECT_FALSE(DecodeTuple(bytes, 4).ok());
 }
 
+TEST(TupleCodecTest, UnknownValueTagRejected) {
+  // A tag byte outside ValueType must fail the record, not yield a
+  // short tuple that column decoders would then index past.
+  auto bad = DecodeTuple({7, 7}, 2);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(bad.status().message(), "unknown value tag");
+}
+
 TEST(PagedRelationTest, LoadScanRoundTrip) {
   Rig rig;
   data::Relation people = data::gen::People(500, 3);
@@ -77,6 +86,66 @@ TEST(PagedRelationTest, ReadAtCursorSemantics) {
   auto no_page = (*paged)->ReadAt(9999, 0);
   ASSERT_TRUE(no_page.ok());
   EXPECT_FALSE(no_page->has_value());
+}
+
+TEST(PagedRelationTest, VisitPagePinsOnceAndUnpinsOnEveryPath) {
+  Rig rig(8);
+  data::Relation people = data::gen::People(300, 5);
+  auto paged = PagedRelation::Load(people, rig.buffer.get(), rig.disk.get());
+  ASSERT_TRUE(paged.ok());
+  const PagedRelation& rel = **paged;
+  auto expect_unpinned = [&](const char* where) {
+    for (PageId p = 0; p < rig.disk->page_count(); ++p) {
+      EXPECT_EQ(rig.buffer->PinCount(p), 0) << where << " page " << p;
+    }
+    EXPECT_TRUE(rig.buffer->CheckInvariants().ok()) << where;
+  };
+
+  // One buffer get per page, every record in slot order.
+  const uint64_t gets_before = rig.buffer->stats().gets;
+  std::vector<data::Tuple> rows;
+  size_t row = 0;
+  for (size_t p = 0; p < rel.pages(); ++p) {
+    ASSERT_TRUE(rel.ReadPage(p, &rows).ok());
+    for (const data::Tuple& t : rows) {
+      ASSERT_LT(row, people.size());
+      EXPECT_TRUE(t == people.rows()[row++]);
+    }
+  }
+  EXPECT_EQ(row, people.size());
+  EXPECT_EQ(rig.buffer->stats().gets - gets_before, rel.pages());
+  expect_unpinned("after a full page walk");
+
+  // A sink failing mid-page: its error comes back, the pin is released.
+  struct FailingSink {
+    int rows = 0;
+    void Null(size_t) {}
+    void Int(size_t, int64_t) {}
+    void Double(size_t, double) {}
+    void String(size_t, std::string_view) {}
+    Status EndRow() {
+      return ++rows == 3 ? Status::Aborted("sink stop") : Status::OK();
+    }
+  };
+  FailingSink sink;
+  Status stopped = rel.VisitPage(1, sink);
+  EXPECT_EQ(stopped.code(), StatusCode::kAborted);
+  EXPECT_EQ(stopped.message(), "sink stop");
+  EXPECT_EQ(sink.rows, 3);
+  expect_unpinned("after a sink error");
+
+  // The record-level walk too (page 0 is the relation's first page).
+  RecordFile file(rig.buffer.get(), rig.disk.get());
+  int seen = 0;
+  Status walk = file.VisitPage(0, [&](const uint8_t*, size_t len) {
+    EXPECT_GT(len, 0u);
+    return ++seen == 2 ? Status::IoError("walk stop") : Status::OK();
+  });
+  EXPECT_EQ(walk.message(), "walk stop");
+  EXPECT_EQ(seen, 2);
+  expect_unpinned("after a record visitor error");
+
+  EXPECT_EQ(rel.VisitPage(rel.pages(), sink).code(), StatusCode::kOutOfRange);
 }
 
 TEST(PagedSourceTest, QueryOverPagedDataMatchesMemSource) {

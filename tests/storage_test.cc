@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "common/rng.h"
@@ -119,16 +120,18 @@ TEST(BufferManagerTest, LruEvictsLeastRecentlyUsed) {
 
 // Property: under a random workload, buffer-managed page contents always
 // match a shadow model, and invariants hold throughout — with every
-// replacement policy.
+// replacement policy. The policy name is a std::string, not a const char*,
+// so the printed parameter (and the test name derived from it) carries the
+// name itself rather than the literal's load address.
 class BufferPropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(BufferPropertyTest, MatchesShadowModel) {
   auto [policy_name, seed] = GetParam();
   std::shared_ptr<ReplacementPolicy> policy;
-  if (std::string(policy_name) == "lru") {
+  if (policy_name == "lru") {
     policy = std::make_shared<LruPolicy>();
-  } else if (std::string(policy_name) == "clock") {
+  } else if (policy_name == "clock") {
     policy = std::make_shared<ClockPolicy>();
   } else {
     policy = std::make_shared<FifoPolicy>();
@@ -169,7 +172,9 @@ TEST_P(BufferPropertyTest, MatchesShadowModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, BufferPropertyTest,
-    ::testing::Combine(::testing::Values("lru", "clock", "fifo"),
+    ::testing::Combine(::testing::Values(std::string("lru"),
+                                         std::string("clock"),
+                                         std::string("fifo")),
                        ::testing::Values(7, 21)));
 
 TEST(BufferManagerTest, ShardedPoolKeepsSerialSemantics) {
@@ -289,7 +294,7 @@ TEST(RecordFileTest, ScanVisitsAllInOrder) {
     ASSERT_TRUE(file.Append({i, i, i}).ok());
   }
   uint8_t expect = 0;
-  ASSERT_TRUE(file.Scan([&](const RecordId&, const std::vector<uint8_t>& r) {
+  ASSERT_TRUE(file.Scan([&](const RecordId&, std::span<const uint8_t> r) {
                     EXPECT_EQ(r[0], expect++);
                     return true;
                   })
@@ -302,7 +307,7 @@ TEST(RecordFileTest, ScanEarlyStop) {
   RecordFile file(pool.buffer.get(), pool.disk.get());
   for (uint8_t i = 0; i < 10; ++i) ASSERT_TRUE(file.Append({i}).ok());
   int seen = 0;
-  ASSERT_TRUE(file.Scan([&](const RecordId&, const std::vector<uint8_t>&) {
+  ASSERT_TRUE(file.Scan([&](const RecordId&, std::span<const uint8_t>) {
                     return ++seen < 3;
                   })
                   .ok());
@@ -333,7 +338,7 @@ TEST(RecordFileTest, WorksWithTinyBufferPool) {
     ASSERT_TRUE(file.Append(rec).ok());
   }
   int count = 0;
-  ASSERT_TRUE(file.Scan([&](const RecordId&, const std::vector<uint8_t>& r) {
+  ASSERT_TRUE(file.Scan([&](const RecordId&, std::span<const uint8_t> r) {
                     EXPECT_EQ(r[0], static_cast<uint8_t>(count));
                     ++count;
                     return true;
